@@ -23,15 +23,14 @@ cargo clippy -p cpa-optimize --all-targets -- -D warnings
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> engine_equivalence smoke (engine vs reference, all policy x mode combos)"
 cargo test -q -p cpa-analysis --release --test engine_equivalence
 
-echo "==> warm-vs-cold + partial-vs-cold equivalence smoke (cross-check mode)"
-CPA_WARM_CROSS_CHECK=1 cargo test -q -p cpa-analysis --release \
-  --test warm_equivalence --test partial_equivalence
+echo "==> warm-vs-cold equivalence smoke (cross-check mode)"
+CPA_WARM_CROSS_CHECK=1 cargo test -q -p cpa-analysis --release --test warm_equivalence
 
 echo "==> skip_equivalence smoke (event-skipping sim vs cycle-stepped reference)"
 cargo test -q -p cpa-sim --release --test skip_equivalence

@@ -43,16 +43,31 @@ impl BusPolicy {
 
     /// Parses a [`BusPolicy::label`] back into a policy, instantiating the
     /// slotted policies with `slots`. The inverse of `label` for every
-    /// policy (labels deliberately drop the slot count); `None` for
-    /// unknown labels.
-    #[must_use]
-    pub fn parse(label: &str, slots: u64) -> Option<BusPolicy> {
+    /// policy (labels deliberately drop the slot count).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown label, and for `slots == 0` on
+    /// the slotted policies: a round-robin or TDMA bus without slots
+    /// grants no access at all, and analysing one yields an optimistic
+    /// verdict rather than an error. FP and the perfect bus ignore
+    /// `slots`.
+    pub fn parse(label: &str, slots: u64) -> Result<BusPolicy, String> {
+        let slotted = |policy: BusPolicy| {
+            if slots == 0 {
+                Err(format!("slots must be at least 1 for the `{label}` bus"))
+            } else {
+                Ok(policy)
+            }
+        };
         match label {
-            "fp" => Some(BusPolicy::FixedPriority),
-            "rr" => Some(BusPolicy::RoundRobin { slots }),
-            "tdma" => Some(BusPolicy::Tdma { slots }),
-            "perfect" => Some(BusPolicy::Perfect),
-            _ => None,
+            "fp" => Ok(BusPolicy::FixedPriority),
+            "rr" => slotted(BusPolicy::RoundRobin { slots }),
+            "tdma" => slotted(BusPolicy::Tdma { slots }),
+            "perfect" => Ok(BusPolicy::Perfect),
+            _ => Err(format!(
+                "unknown bus `{label}` (expected fp, rr, tdma, or perfect)"
+            )),
         }
     }
 
@@ -180,13 +195,23 @@ mod tests {
             BusPolicy::Tdma { slots: 3 },
             BusPolicy::Perfect,
         ] {
-            assert_eq!(BusPolicy::parse(bus.label(), 3), Some(bus));
+            assert_eq!(BusPolicy::parse(bus.label(), 3), Ok(bus));
         }
-        assert_eq!(BusPolicy::parse("bogus", 2), None);
+        assert!(BusPolicy::parse("bogus", 2).unwrap_err().contains("bogus"));
         assert_eq!(
             BusPolicy::paper_buses(2).map(|b| b.label()),
             ["fp", "rr", "tdma"]
         );
+    }
+
+    #[test]
+    fn parse_rejects_zero_slots_for_slotted_buses() {
+        for label in ["rr", "tdma"] {
+            let err = BusPolicy::parse(label, 0).unwrap_err();
+            assert!(err.contains("slots"), "{label}: {err}");
+        }
+        assert_eq!(BusPolicy::parse("fp", 0), Ok(BusPolicy::FixedPriority));
+        assert_eq!(BusPolicy::parse("perfect", 0), Ok(BusPolicy::Perfect));
     }
 
     #[test]

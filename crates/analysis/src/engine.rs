@@ -57,7 +57,7 @@ use crate::arbiter::{arbiter_for, BaoSource, BusArbiter};
 use crate::bao::{BaoMembers, BaoSegment, CarryOut, PriorityBand};
 use crate::crpd::CrpdApproach;
 use crate::curve::StepCurve;
-use crate::wcrt::{self, AnalysisResult, ParentSolution};
+use crate::wcrt::{self, AnalysisResult};
 use crate::{bas, AnalysisConfig, AnalysisContext, PersistenceMode};
 
 /// Stamp that can never equal a live per-core version counter (versions
@@ -85,11 +85,6 @@ struct BaoSlot {
     seg: BaoSegment,
     /// Core version [`BaoSlot::seg`] was last refreshed against.
     stamp: u64,
-    /// Whether the slot was carried over from a previous run by the warm
-    /// retention of [`AnalysisScratch::reset`]; cleared on the slot's
-    /// first refresh, whose kept-term count feeds
-    /// `engine.inner_iters_saved`.
-    carried: bool,
 }
 
 impl BaoSlot {
@@ -101,7 +96,6 @@ impl BaoSlot {
         self.filled = false;
         self.seg.reset();
         self.stamp = 0;
-        self.carried = false;
     }
 
     /// Keeps the slot's members (and, when the persistence mode is
@@ -114,12 +108,10 @@ impl BaoSlot {
     fn carry_over(&mut self, mode_stable: bool) {
         if mode_stable {
             self.stamp = CARRIED_STAMP;
-            self.carried = true;
         } else {
             // Terms are mode-dependent; members are not.
             self.seg.reset();
             self.stamp = 0;
-            self.carried = false;
         }
     }
 }
@@ -136,9 +128,6 @@ struct CachedBao<'e, 'ctx, 'a> {
     on_core: &'e [Vec<TaskId>],
     hits: &'e mut u64,
     misses: &'e mut u64,
-    /// Term re-derivations avoided thanks to warm-carried segments
-    /// (feeds `engine.inner_iters_saved`).
-    saved: &'e mut u64,
     mode: PersistenceMode,
     cores: usize,
 }
@@ -165,15 +154,8 @@ impl CachedBao<'_, '_, '_> {
                 .refill_on(ctx, level, &self.on_core[core.index()]);
             slot.filled = true;
         }
-        let kept = slot
-            .seg
+        slot.seg
             .refresh(&slot.members, t, self.resp, d_mem, self.mode);
-        if slot.carried {
-            // First refresh of a warm-carried slot: every term kept
-            // verbatim is a re-derivation a cold run would have paid.
-            *self.saved += kept as u64;
-            slot.carried = false;
-        }
         slot.stamp = version;
         slot.seg.eval(t, d_mem, carry)
     }
@@ -249,17 +231,13 @@ impl BaoSource for CachedBao<'_, '_, '_> {
 /// determinism of the *warm counters* across work schedules matters
 /// (e.g. between independent sweep items).
 ///
-/// Observability: `engine.warm_starts` (resets that carried anything),
-/// `engine.segments_reused` (curves and slots carried), and
-/// `engine.inner_iters_saved` (carried same-core spans promoted on first
-/// touch plus verbatim term keeps on a carried slot's first refresh).
-/// Hit/miss meters (`engine.curve_hit` et al.) stay bitwise-equal
-/// between warm and cold runs: a carried entry's first touch is
-/// accounted as the miss the cold run would have paid, with the saving
-/// booked separately. The three warm meters themselves depend on the
-/// chain history (which solve preceded this one on the same scratch), so
-/// they are classified as scheduling meters and excluded from
-/// deterministic telemetry exports.
+/// Observability: `engine.warm_starts` (resets that carried anything)
+/// and `engine.segments_reused` (curves and slots carried). A lookup
+/// that lands in a carried same-core span scores as a plain hit, so the
+/// hit/miss meters (`engine.curve_hit` et al.) — like the two warm
+/// meters — depend on the chain history (which solve preceded this one
+/// on the same scratch). All of them are classified as scheduling meters
+/// and excluded from deterministic telemetry exports.
 #[derive(Debug, Default)]
 pub struct AnalysisScratch {
     /// Current response-time estimates, updated in task-id order within a
@@ -293,10 +271,6 @@ pub struct AnalysisScratch {
     hp_prefix: Vec<usize>,
     /// Outer-worklist dirty flags.
     dirty: Vec<bool>,
-    /// Per-task partial re-solve certificates (set by
-    /// [`AnalysisEngine::offer_parent`], empty otherwise): a certified
-    /// task's round-1 solve is replaced by the parent's converged bound.
-    certified: Vec<bool>,
     /// Runs this scratch has served (drives `engine.scratch_reuses`).
     uses: u64,
     /// Fingerprint of the task set of the previous run, the comparison
@@ -390,7 +364,6 @@ impl AnalysisScratch {
                 if !curve.is_empty() {
                     reused += 1;
                 }
-                curve.carry_over();
             } else {
                 curve.clear();
             }
@@ -441,8 +414,6 @@ impl AnalysisScratch {
 
         self.dirty.clear();
         self.dirty.resize(n, true);
-
-        self.certified.clear();
     }
 }
 
@@ -464,19 +435,6 @@ pub struct AnalysisEngine<'e, 'a> {
     bao_misses: u64,
     tasks_solved: u64,
     tasks_skipped: u64,
-    /// Re-derivations avoided via warm-carried cache entries: hits on
-    /// carried same-core segments plus verbatim term keeps on a carried
-    /// `BAO` slot's first refresh.
-    warm_saved: u64,
-    /// The certification base for partial re-solve, when
-    /// [`AnalysisEngine::offer_parent`] accepted one.
-    parent: Option<&'e ParentSolution>,
-    /// Whether the accepted parent solved the *identical* set under the
-    /// identical environment, so [`AnalysisEngine::run`] replays it
-    /// outright (sound under every bus policy).
-    replay: bool,
-    /// Tasks whose round-1 solve was replaced by a certified parent bound.
-    tasks_certified: u64,
 }
 
 impl fmt::Debug for AnalysisEngine<'_, '_> {
@@ -514,91 +472,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             bao_misses: 0,
             tasks_solved: 0,
             tasks_skipped: 0,
-            warm_saved: 0,
-            parent: None,
-            replay: false,
-            tasks_certified: 0,
         }
-    }
-
-    /// Offers a [`ParentSolution`] as the certification base for partial
-    /// re-solve (see [`crate::analyze_with_parent`] for the rules). The
-    /// offer is rejected outright — `engine.parent_rejected` — unless the
-    /// parent's analysis environment (bus, mode, `d_mem`, cores, CRPD
-    /// approach, iteration caps) matches this run's exactly; an accepted
-    /// offer either schedules a full replay (identical sets, any policy;
-    /// `engine.parent_replays`) or certifies individual tasks (arbiters
-    /// that never consume remote response times; the per-task tally is
-    /// `engine.tasks_certified`).
-    pub(crate) fn offer_parent(&mut self, parent: &'e ParentSolution) {
-        let env_matches = parent.config == *self.config
-            && parent.d_mem == self.ctx.d_mem()
-            && parent.cores == self.cores
-            && parent.crpd == self.ctx.crpd_approach();
-        if !env_matches {
-            cpa_obs::counter("engine.parent_rejected").incr();
-            return;
-        }
-        let current = self
-            .scratch
-            .fingerprint
-            .as_ref()
-            .expect("reset always fingerprints the task set");
-        let delta = parent.fingerprint.delta(current);
-        if delta.identical() {
-            self.parent = Some(parent);
-            self.replay = true;
-            cpa_obs::counter("engine.parent_replays").incr();
-            return;
-        }
-        if self.arbiter.consumes_remote_response_times() {
-            // Every task reads every other core's estimates: no per-task
-            // certificate short of set identity exists (DESIGN.md §16).
-            cpa_obs::counter("engine.parent_rejected").incr();
-            return;
-        }
-        let tasks = self.ctx.tasks();
-        let mut any = false;
-        self.scratch.certified.clear();
-        self.scratch.certified.extend(tasks.ids().map(|i| {
-            let ok =
-                delta.task_unchanged(i.index()) && delta.core_untouched(tasks[i].core().index());
-            any |= ok;
-            ok
-        }));
-        if any {
-            self.parent = Some(parent);
-        } else {
-            self.scratch.certified.clear();
-            cpa_obs::counter("engine.parent_rejected").incr();
-        }
-    }
-
-    /// Offers per-task response-time hints from a neighbouring solve
-    /// (see [`crate::analyze_with_seed`]). A hint is *adopted* only when
-    /// it is provably the value the cold iteration starts from anyway —
-    /// i.e. it equals the initial estimate `PD_i + MD_i · d_mem`. No
-    /// other certificate short of re-running the fixed point exists, so
-    /// every other component (over-estimates in particular) is rejected
-    /// and re-derived by the unmodified cold iterate chain; seeded runs
-    /// are therefore bitwise identical to unseeded ones, and the warm
-    /// speedup comes from the scratch's certified structural retention
-    /// instead. Tallies land in `engine.seed_hints_adopted` /
-    /// `engine.seed_hints_rejected`.
-    pub(crate) fn offer_seed(&mut self, seed: &[Time]) {
-        let n = self.scratch.init.len();
-        let mut adopted = 0u64;
-        // Length mismatches reject the excess outright.
-        let mut rejected = (seed.len().abs_diff(n)) as u64;
-        for (hint, &init) in seed.iter().zip(&self.scratch.init[..n.min(seed.len())]) {
-            if *hint == init {
-                adopted += 1;
-            } else {
-                rejected += 1;
-            }
-        }
-        cpa_obs::counter("engine.seed_hints_adopted").add(adopted);
-        cpa_obs::counter("engine.seed_hints_rejected").add(rejected);
     }
 
     /// Eq. (19)'s right-hand side at window length `r`, evaluated through
@@ -617,18 +491,9 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
         // it — so the triple lives in a single curve: one lookup, one
         // span, one insert, and the curve stays valid when the
         // persistence mode changes between runs.
-        let (interference, own) = match scratch.same_core[idx].lookup_promote(r) {
-            Some(((intf, oblivious, aware), carried)) => {
-                if carried {
-                    // First touch of a warm-carried span: a cold run
-                    // would have derived it here, so score the miss it
-                    // replaces and book the saving separately. Revisits
-                    // count as the hits a cold run would also score.
-                    self.same_core_misses += 1;
-                    self.warm_saved += 1;
-                } else {
-                    self.same_core_hits += 1;
-                }
+        let (interference, own) = match scratch.same_core[idx].lookup(r) {
+            Some((intf, oblivious, aware)) => {
+                self.same_core_hits += 1;
                 let own = match mode {
                     PersistenceMode::Oblivious => oblivious,
                     PersistenceMode::Aware => aware,
@@ -658,7 +523,6 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             on_core: &scratch.on_core,
             hits: &mut self.bao_hits,
             misses: &mut self.bao_misses,
-            saved: &mut self.warm_saved,
             mode,
             cores: self.cores,
         };
@@ -683,8 +547,6 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
         cpa_obs::counter("engine.bao_miss").add(self.bao_misses);
         cpa_obs::counter("engine.tasks_solved").add(self.tasks_solved);
         cpa_obs::counter("engine.tasks_skipped").add(self.tasks_skipped);
-        cpa_obs::counter("engine.inner_iters_saved").add(self.warm_saved);
-        cpa_obs::counter("engine.tasks_certified").add(self.tasks_certified);
         result
     }
 
@@ -695,21 +557,6 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
     pub fn run(mut self) -> AnalysisResult {
         let _span = cpa_obs::span!("wcrt.analyze");
         if let Some(result) = wcrt::perfect_bus_check(self.ctx, self.config) {
-            return self.finish(result);
-        }
-        if self.replay {
-            // The accepted parent solved the bitwise-identical problem:
-            // its result *is* what the fixed point below would recompute,
-            // field for field (analysis is deterministic in its inputs).
-            let parent = self.parent.expect("replay implies an accepted parent");
-            self.tasks_certified = parent.resp.len() as u64;
-            let result = AnalysisResult {
-                response_times: parent.resp.iter().map(|&r| Some(r)).collect(),
-                schedulable: true,
-                outer_iterations: parent.outer,
-                inner_iterations: parent.inner.clone(),
-                hit_outer_cap: false,
-            };
             return self.finish(result);
         }
         let ctx = self.ctx;
@@ -725,37 +572,6 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             for i in tasks.ids() {
                 if !self.scratch.dirty[i.index()] {
                     self.tasks_skipped += 1;
-                    continue;
-                }
-                if round == 1 && self.scratch.certified.get(i.index()) == Some(&true) {
-                    // Partial re-solve: the parent's bound for τi is
-                    // certified to be exactly what the solve below would
-                    // derive (same columns, same hp set, same table rows,
-                    // and — certified mode only runs under arbiters that
-                    // consume no remote estimates — no cross-core reads),
-                    // so adopt it along with the inner-iteration count the
-                    // cold single-visit solve would have booked.
-                    let idx = i.index();
-                    let parent = self.parent.expect("certificates imply a parent");
-                    self.scratch.dirty[idx] = false;
-                    self.tasks_certified += 1;
-                    inner_iterations[idx] += parent.inner[idx];
-                    let r = parent.resp[idx];
-                    if r > self.scratch.resp[idx] {
-                        cpa_obs::event!(
-                            "wcrt.estimate",
-                            task = idx,
-                            outer = round,
-                            inner = parent.inner[idx],
-                            estimate = r.cycles(),
-                        );
-                        self.scratch.resp[idx] = r;
-                        changed_tasks += 1;
-                        // Certified mode never runs under remote-consuming
-                        // arbiters, so nothing is re-dirtied; the version
-                        // bump keeps internal state on the cold trajectory.
-                        self.scratch.core_version[tasks[i].core().index()] += 1;
-                    }
                     continue;
                 }
                 self.scratch.dirty[i.index()] = false;

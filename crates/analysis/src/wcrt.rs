@@ -14,9 +14,8 @@
 //! changes or some estimate exceeds its deadline (unschedulable), exactly
 //! as described at the end of §IV of the paper.
 
-use cpa_model::{TaskId, TaskSetFingerprint, Time};
+use cpa_model::{TaskId, Time};
 
-use crate::crpd::CrpdApproach;
 use crate::{bus, AnalysisConfig, AnalysisContext, BusPolicy};
 
 /// Result of a full WCRT analysis of a task set.
@@ -122,134 +121,8 @@ pub fn analyze_with(
     result
 }
 
-/// [`analyze_with`] additionally offered per-task response-time hints
-/// from a neighbouring solve (a parent optimizer candidate, the previous
-/// configuration of the same set). The seed is a *hint, never an input*:
-/// a component is adopted only when it provably equals the value the
-/// cold iteration starts from, and every other component — over-estimates
-/// in particular — is rejected and re-derived by the unmodified cold
-/// iterate chain. Results are therefore bitwise identical to
-/// [`analyze_with`] and [`analyze`] (the warm-equivalence proptests pin
-/// every output field, iteration counts included); the actual speedup
-/// comes from the scratch's certified structural retention, which the
-/// seeded call path keeps alive across neighbouring solves.
-#[must_use]
-pub fn analyze_with_seed(
-    ctx: &AnalysisContext<'_>,
-    config: &AnalysisConfig,
-    scratch: &mut crate::engine::AnalysisScratch,
-    seed: &[Time],
-) -> AnalysisResult {
-    let mut engine = crate::engine::AnalysisEngine::new(ctx, config, scratch);
-    engine.offer_seed(seed);
-    let result = engine.run();
-    if warm_cross_check_enabled() {
-        cross_check_against_cold(ctx, config, &result);
-    }
-    result
-}
-
-/// A fully converged solve of one task set, captured as the certification
-/// base for partial re-solve (DESIGN.md §16).
-///
-/// A parent pairs the solved set's [`TaskSetFingerprint`] and the complete
-/// analysis environment (bus, mode, `d_mem`, core count, CRPD approach,
-/// iteration caps) with the converged response times and per-task inner
-/// iteration counts. [`analyze_with_parent`] compares the parent against
-/// the set it is asked to solve and certifies — per task — which response
-/// times are *provably* the values a cold solve would derive, re-running
-/// the fixed point only for the rest. Only schedulable results can act as
-/// parents ([`ParentSolution::capture`] returns `None` otherwise): an
-/// unschedulable result's partial snapshot is not a fixed point, so
-/// nothing in it certifies anything.
-#[derive(Debug, Clone)]
-pub struct ParentSolution {
-    pub(crate) fingerprint: TaskSetFingerprint,
-    pub(crate) config: AnalysisConfig,
-    pub(crate) d_mem: Time,
-    pub(crate) cores: usize,
-    pub(crate) crpd: CrpdApproach,
-    pub(crate) resp: Vec<Time>,
-    pub(crate) inner: Vec<u64>,
-    pub(crate) outer: u32,
-}
-
-impl ParentSolution {
-    /// Captures `result` — a solve of `ctx` under `config` — as a
-    /// certification base. Returns `None` unless the result is
-    /// schedulable (every response time converged).
-    #[must_use]
-    pub fn capture(
-        ctx: &AnalysisContext<'_>,
-        config: &AnalysisConfig,
-        result: &AnalysisResult,
-    ) -> Option<Self> {
-        if !result.schedulable || result.hit_outer_cap {
-            return None;
-        }
-        let resp: Option<Vec<Time>> = result.response_times.iter().copied().collect();
-        Some(ParentSolution {
-            fingerprint: TaskSetFingerprint::of(ctx.tasks()),
-            config: *config,
-            d_mem: ctx.d_mem(),
-            cores: ctx.platform().cores(),
-            crpd: ctx.crpd_approach(),
-            resp: resp?,
-            inner: result.inner_iterations.clone(),
-            outer: result.outer_iterations,
-        })
-    }
-
-    /// The parent's converged per-task response times, in priority order.
-    #[must_use]
-    pub fn response_times(&self) -> &[Time] {
-        &self.resp
-    }
-}
-
-/// [`analyze_with`] additionally given a [`ParentSolution`] — a converged
-/// solve of a *related* task set — whose response times are adopted for
-/// every task the [`cpa_model::TaskSetDelta`] between the two sets
-/// certifies as untouched, skipping those tasks' fixed points entirely.
-///
-/// The certification rules (proved in DESIGN.md §16):
-///
-/// * If the delta is [`identical`](cpa_model::TaskSetDelta::identical)
-///   and the analysis environment matches, the parent *is* the cold
-///   result and is replayed outright — under any bus policy.
-/// * Under arbiters that never consume remote response times (TDMA,
-///   perfect bus), task `i` is certified when it is
-///   [`task_unchanged`](cpa_model::TaskSetDelta::task_unchanged) and its
-///   core is [`core_untouched`](cpa_model::TaskSetDelta::core_untouched):
-///   its recurrence reads only its own columns, its same-core hp set and
-///   their CRPD/CPRO rows — all provably identical — so its cold solve
-///   would reproduce the parent's bound and iteration count verbatim.
-/// * Under FP/RR every task reads every other core's estimates, so no
-///   per-task certificate short of set identity exists and the parent is
-///   ignored (the run degrades to [`analyze_with`]).
-///
-/// Results — response times, schedulability, and both iteration-count
-/// families — are bitwise identical to a cold [`analyze`] (pinned by the
-/// `partial_equivalence` proptests and, under `CPA_WARM_CROSS_CHECK`, by
-/// an in-process cold re-solve on every call).
-#[must_use]
-pub fn analyze_with_parent(
-    ctx: &AnalysisContext<'_>,
-    config: &AnalysisConfig,
-    scratch: &mut crate::engine::AnalysisScratch,
-    parent: &ParentSolution,
-) -> AnalysisResult {
-    let mut engine = crate::engine::AnalysisEngine::new(ctx, config, scratch);
-    engine.offer_parent(parent);
-    let result = engine.run();
-    if warm_cross_check_enabled() {
-        cross_check_against_cold(ctx, config, &result);
-    }
-    result
-}
-
 /// Whether `CPA_WARM_CROSS_CHECK` is set (to anything but `0`): every
-/// warm/seeded analysis then re-runs cold on a fresh scratch and asserts
+/// warm analysis then re-runs cold on a fresh scratch and asserts
 /// full bitwise equality — the belt-and-braces mode ci.sh uses for the
 /// warm-equivalence smoke test. Read once per process.
 fn warm_cross_check_enabled() -> bool {

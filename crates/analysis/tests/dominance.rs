@@ -4,7 +4,7 @@
 use cpa_analysis::{
     analyze, AnalysisConfig, AnalysisContext, BusPolicy, CrpdApproach, PersistenceMode,
 };
-use cpa_model::{CacheGeometry, Platform, Time};
+use cpa_model::{CacheGeometry, Platform, TaskSet, Time};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -19,6 +19,72 @@ fn platform_for(config: &GeneratorConfig) -> Platform {
         .expect("valid platform")
 }
 
+fn generate(seed: u64, util: f64) -> (TaskSet, Platform) {
+    let gen_cfg = GeneratorConfig {
+        cores: 2,
+        tasks_per_core: 4,
+        ..GeneratorConfig::paper_default()
+    }
+    .with_per_core_utilization(util);
+    let generator = TaskSetGenerator::new(gen_cfg.clone()).expect("generator");
+    let platform = platform_for(&gen_cfg);
+    let tasks = generator
+        .generate(&mut ChaCha8Rng::seed_from_u64(seed))
+        .expect("task set");
+    (tasks, platform)
+}
+
+/// Aware response times never exceed oblivious ones under `bus` on `ctx`:
+/// schedulability dominance, and per-task WCRT dominance where both
+/// analyses bound every task.
+fn check_dominance(
+    ctx: &AnalysisContext<'_>,
+    bus: BusPolicy,
+    tag: &str,
+) -> Result<(), TestCaseError> {
+    let aware = analyze(ctx, &AnalysisConfig::new(bus, PersistenceMode::Aware));
+    let oblivious = analyze(ctx, &AnalysisConfig::new(bus, PersistenceMode::Oblivious));
+    prop_assert!(
+        aware.is_schedulable() || !oblivious.is_schedulable(),
+        "{tag} {bus:?}: oblivious schedulable but aware not"
+    );
+    if aware.is_schedulable() && oblivious.is_schedulable() {
+        for i in ctx.tasks().ids() {
+            prop_assert!(
+                aware.response_time(i).unwrap() <= oblivious.response_time(i).unwrap(),
+                "{tag} {bus:?} {i}"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Dominance for every paper bus policy with `slots` slots.
+fn check_every_bus(seed: u64, util: f64, slots: u64) -> Result<(), TestCaseError> {
+    let (tasks, platform) = generate(seed, util);
+    let ctx = AnalysisContext::new(&platform, &tasks).expect("context");
+    for bus in BusPolicy::paper_buses(slots) {
+        check_dominance(&ctx, bus, &format!("seed={seed} util={util}"))?;
+    }
+    Ok(())
+}
+
+/// Dominance on the FP bus under every CRPD approach.
+fn check_every_crpd_approach(seed: u64, util: f64) -> Result<(), TestCaseError> {
+    let (tasks, platform) = generate(seed, util);
+    for approach in [
+        CrpdApproach::EcbUnion,
+        CrpdApproach::UcbUnion,
+        CrpdApproach::EcbOnly,
+    ] {
+        let ctx =
+            AnalysisContext::with_crpd_approach(&platform, &tasks, approach).expect("context");
+        let tag = format!("seed={seed} util={util} {approach:?}");
+        check_dominance(&ctx, BusPolicy::FixedPriority, &tag)?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -30,41 +96,7 @@ proptest! {
         util in 0.1f64..0.6,
         slots in 1u64..4,
     ) {
-        let gen_cfg = GeneratorConfig {
-            cores: 2,
-            tasks_per_core: 4,
-            ..GeneratorConfig::paper_default()
-        }
-        .with_per_core_utilization(util);
-        let generator = TaskSetGenerator::new(gen_cfg.clone()).expect("generator");
-        let platform = platform_for(&gen_cfg);
-        let tasks = generator
-            .generate(&mut ChaCha8Rng::seed_from_u64(seed))
-            .expect("task set");
-        let ctx = AnalysisContext::new(&platform, &tasks).expect("context");
-
-        for bus in [
-            BusPolicy::FixedPriority,
-            BusPolicy::RoundRobin { slots },
-            BusPolicy::Tdma { slots },
-        ] {
-            let aware = analyze(&ctx, &AnalysisConfig::new(bus, PersistenceMode::Aware));
-            let oblivious = analyze(&ctx, &AnalysisConfig::new(bus, PersistenceMode::Oblivious));
-            // Schedulability dominance.
-            prop_assert!(
-                aware.is_schedulable() || !oblivious.is_schedulable(),
-                "{bus:?}: oblivious schedulable but aware not"
-            );
-            // Per-task WCRT dominance where both bound the task.
-            if aware.is_schedulable() && oblivious.is_schedulable() {
-                for i in tasks.ids() {
-                    prop_assert!(
-                        aware.response_time(i).unwrap() <= oblivious.response_time(i).unwrap(),
-                        "{bus:?} {i}"
-                    );
-                }
-            }
-        }
+        check_every_bus(seed, util, slots)?;
     }
 
     /// The aware-dominates-oblivious theorem holds regardless of which
@@ -75,43 +107,32 @@ proptest! {
         seed in any::<u64>(),
         util in 0.1f64..0.5,
     ) {
-        let gen_cfg = GeneratorConfig {
-            cores: 2,
-            tasks_per_core: 4,
-            ..GeneratorConfig::paper_default()
-        }
-        .with_per_core_utilization(util);
-        let generator = TaskSetGenerator::new(gen_cfg.clone()).expect("generator");
-        let platform = platform_for(&gen_cfg);
-        let tasks = generator
-            .generate(&mut ChaCha8Rng::seed_from_u64(seed))
-            .expect("task set");
+        check_every_crpd_approach(seed, util)?;
+    }
+}
 
-        for approach in [CrpdApproach::EcbUnion, CrpdApproach::UcbUnion, CrpdApproach::EcbOnly] {
-            let ctx = AnalysisContext::with_crpd_approach(&platform, &tasks, approach)
-                .expect("context");
-            let aware = analyze(
-                &ctx,
-                &AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware),
-            );
-            let oblivious = analyze(
-                &ctx,
-                &AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Oblivious),
-            );
-            prop_assert!(
-                aware.is_schedulable() || !oblivious.is_schedulable(),
-                "{approach:?}"
-            );
-            if aware.is_schedulable() && oblivious.is_schedulable() {
-                for i in tasks.ids() {
-                    prop_assert!(
-                        aware.response_time(i).unwrap() <= oblivious.response_time(i).unwrap(),
-                        "{approach:?} {i}"
-                    );
-                }
-            }
+/// Runs both dominance properties on one recorded counterexample. The
+/// vendored proptest does not replay `dominance.proptest-regressions`, so
+/// the cases recorded there are pinned here as plain tests.
+fn replay_counterexample(seed: u64, util: f64) {
+    for slots in 1..4 {
+        if let Err(e) = check_every_bus(seed, util, slots) {
+            panic!("slots={slots}: {e}");
         }
     }
+    if let Err(e) = check_every_crpd_approach(seed, util) {
+        panic!("{e}");
+    }
+}
+
+#[test]
+fn dominance_counterexample_seed_10958410096888526704() {
+    replay_counterexample(10_958_410_096_888_526_704, 0.1);
+}
+
+#[test]
+fn dominance_counterexample_seed_185411974247919130() {
+    replay_counterexample(185_411_974_247_919_130, 0.368_774_129_887_824_43);
 }
 
 /// Per-task WCRT is *not* a monotone function of `d_mem` (Eq. (6)'s remote

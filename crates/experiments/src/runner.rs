@@ -181,7 +181,8 @@ impl PointStats {
 /// certified warm retention decides per solve what may carry over.
 /// Results are bitwise identical to the unchained path — retention only
 /// ever reuses cache entries certified byte-equal to what a cold run
-/// would re-derive — so chaining is purely a throughput lever.
+/// would re-derive — so chaining is purely a throughput lever; only the
+/// scheduling meters (warm and curve hit/miss tallies) see the chain.
 #[derive(Debug, Default)]
 pub struct ChainState {
     states: Vec<(AnalysisScratch, ContextBuffers)>,
@@ -268,11 +269,12 @@ pub fn evaluate_point_with(
 /// states persist across calls, and warm chains run freely — across the
 /// sets of one point *and* across adjacent points — instead of being
 /// severed per set. The engine's retention certificates keep every
-/// analysis result (and the deterministic hit/miss meters) bitwise
-/// identical to the unchained path at any thread count; only the warm
-/// bookkeeping meters (`engine.warm_starts` et al.) and the
-/// `experiments.chain_*` meters vary with scheduling, and all of those
-/// are classified as scheduling meters in `cpa-telemetry`.
+/// analysis result bitwise identical to the unchained path at any thread
+/// count. What varies with scheduling is the engine's chain-history
+/// meters — `engine.warm_starts`, `engine.segments_reused` and the
+/// curve-cache hit/miss meters, since a lookup in a carried span is a
+/// hit — and the `experiments.chain_*` meters; all of those are
+/// classified as scheduling meters in `cpa-telemetry`.
 ///
 /// # Panics
 ///

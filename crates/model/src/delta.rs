@@ -11,7 +11,7 @@
 //! [`crate::Task::hash_content`], which cover every semantic field
 //! including core and priority, plus each task's position and core
 //! index); a [`TaskSetDelta`] compares two fingerprints and answers the
-//! two certification queries the engine asks:
+//! two certification queries the engine's warm retention asks:
 //!
 //! * [`TaskSetDelta::unchanged_prefix`] — the number of leading tasks
 //!   (in the canonical priority order) that are bitwise-identical in
@@ -22,17 +22,6 @@
 //!   core (in either the old or the new set) lies inside the unchanged
 //!   prefix, i.e. the core's member list and all member-dependent table
 //!   rows are provably unchanged.
-//!
-//! Partial re-solve (DESIGN.md §16) asks two finer-grained queries that
-//! look *past* the first divergence:
-//!
-//! * [`TaskSetDelta::task_unchanged`] — whether the task at one global
-//!   index is identical in content and core in both sets, regardless of
-//!   what happened at lower indices.
-//! * [`TaskSetDelta::core_untouched`] — whether every task on a core (in
-//!   either set) is individually unchanged, so the core's member list,
-//!   its per-pair CRPD/CPRO table rows, and every member's hp set are
-//!   provably identical even when *other* cores diverged.
 //!
 //! The fingerprint deliberately stores only hashes and core indices: a
 //! worker can keep the fingerprint of the previous solve without keeping
@@ -89,18 +78,6 @@ impl TaskSetFingerprint {
         } else {
             0
         };
-        let len = self.len().max(next.len());
-        let mut unchanged = vec![false; len];
-        if self.cache_sets == next.cache_sets {
-            for (i, slot) in unchanged
-                .iter_mut()
-                .enumerate()
-                .take(self.len().min(next.len()))
-            {
-                *slot =
-                    self.task_hashes[i] == next.task_hashes[i] && self.cores[i] == next.cores[i];
-            }
-        }
         let num_cores = self
             .cores
             .iter()
@@ -109,23 +86,14 @@ impl TaskSetFingerprint {
             .max()
             .unwrap_or(0);
         let mut core_stable = vec![true; num_cores];
-        let mut core_untouched = vec![true; num_cores];
         for fp in [self, next] {
-            for (idx, &core) in fp.cores.iter().enumerate() {
-                if idx >= unchanged_prefix {
-                    core_stable[core] = false;
-                }
-                if !unchanged[idx] {
-                    core_untouched[core] = false;
-                }
+            for &core in &fp.cores[unchanged_prefix..] {
+                core_stable[core] = false;
             }
         }
         TaskSetDelta {
             unchanged_prefix,
-            identical: unchanged_prefix == self.len() && unchanged_prefix == next.len(),
             core_stable,
-            unchanged,
-            core_untouched,
         }
     }
 }
@@ -135,14 +103,7 @@ impl TaskSetFingerprint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSetDelta {
     unchanged_prefix: usize,
-    identical: bool,
     core_stable: Vec<bool>,
-    /// Per-index "identical in content and core in both sets" mask, sized
-    /// to the longer fingerprint (indices present in only one set are
-    /// `false`). All `false` when the cache geometries differ.
-    unchanged: Vec<bool>,
-    /// Per-core "every member in either set is unchanged" mask.
-    core_untouched: Vec<bool>,
 }
 
 impl TaskSetDelta {
@@ -154,38 +115,12 @@ impl TaskSetDelta {
         self.unchanged_prefix
     }
 
-    /// Whether the two sets are entirely identical.
-    #[must_use]
-    pub fn identical(&self) -> bool {
-        self.identical
-    }
-
     /// Whether every task on `core` — in *both* the old and the new set —
     /// lies inside the unchanged prefix, so the core's member list and
     /// every member-derived table row are unchanged.
     #[must_use]
     pub fn core_stable(&self, core: usize) -> bool {
         self.core_stable.get(core).copied().unwrap_or(true)
-    }
-
-    /// Whether the task at global index `idx` is identical in content and
-    /// core assignment in both sets (false for indices present in only
-    /// one of the two sets, and for every index when the cache geometries
-    /// differ). Unlike [`unchanged_prefix`](Self::unchanged_prefix) this
-    /// looks past the first divergence.
-    #[must_use]
-    pub fn task_unchanged(&self, idx: usize) -> bool {
-        self.unchanged.get(idx).copied().unwrap_or(false)
-    }
-
-    /// Whether every task on `core` — in *both* sets — is individually
-    /// [`task_unchanged`](Self::task_unchanged): the core's member list,
-    /// its member-derived CRPD/CPRO rows, and each member's same-core hp
-    /// set are then provably identical, even when other cores diverged.
-    /// Cores beyond both sets' ranges are vacuously untouched.
-    #[must_use]
-    pub fn core_untouched(&self, core: usize) -> bool {
-        self.core_untouched.get(core).copied().unwrap_or(true)
     }
 }
 
@@ -216,7 +151,6 @@ mod tests {
         let a = set(vec![task("a", 1, 0, 2), task("b", 2, 1, 3)]);
         let b = set(vec![task("a", 1, 0, 2), task("b", 2, 1, 3)]);
         let delta = TaskSetFingerprint::of(&a).delta(&TaskSetFingerprint::of(&b));
-        assert!(delta.identical());
         assert_eq!(delta.unchanged_prefix(), 2);
         assert!(delta.core_stable(0) && delta.core_stable(1));
     }
@@ -236,7 +170,6 @@ mod tests {
             task("c", 3, 0, 4),
         ]);
         let delta = TaskSetFingerprint::of(&a).delta(&TaskSetFingerprint::of(&b));
-        assert!(!delta.identical());
         assert_eq!(delta.unchanged_prefix(), 1);
         assert!(!delta.core_stable(0));
         assert!(!delta.core_stable(1));
@@ -272,47 +205,17 @@ mod tests {
     }
 
     #[test]
-    fn length_mismatch_is_never_identical() {
+    fn length_mismatch_destabilises_the_extra_core() {
         let a = set(vec![task("a", 1, 0, 2)]);
         let b = set(vec![task("a", 1, 0, 2), task("b", 2, 1, 3)]);
         let fa = TaskSetFingerprint::of(&a);
         let fb = TaskSetFingerprint::of(&b);
         let delta = fa.delta(&fb);
-        assert!(!delta.identical());
         assert_eq!(delta.unchanged_prefix(), 1);
         assert!(!delta.core_stable(1));
         // Empty previous fingerprint: nothing certifiable.
         let empty = TaskSetFingerprint::of(&set(vec![task("x", 1, 0, 1)]));
         assert_eq!(empty.delta(&fb).unchanged_prefix(), 0);
-    }
-
-    #[test]
-    fn per_task_mask_sees_past_first_divergence() {
-        let a = set(vec![
-            task("a", 1, 0, 2),
-            task("b", 2, 1, 3),
-            task("c", 3, 0, 4),
-            task("d", 4, 2, 5),
-        ]);
-        // Only τb changes: the prefix stops at 1, but τc and τd are still
-        // certified individually and cores 0/2 stay untouched.
-        let b = set(vec![
-            task("a", 1, 0, 2),
-            task("b", 2, 1, 9),
-            task("c", 3, 0, 4),
-            task("d", 4, 2, 5),
-        ]);
-        let delta = TaskSetFingerprint::of(&a).delta(&TaskSetFingerprint::of(&b));
-        assert_eq!(delta.unchanged_prefix(), 1);
-        assert!(delta.task_unchanged(0));
-        assert!(!delta.task_unchanged(1));
-        assert!(delta.task_unchanged(2) && delta.task_unchanged(3));
-        assert!(!delta.task_unchanged(4), "out of range is never certified");
-        assert!(delta.core_untouched(0), "core 0 has only unchanged members");
-        assert!(!delta.core_untouched(1));
-        assert!(delta.core_untouched(2));
-        assert!(delta.core_untouched(9), "absent cores vacuously untouched");
-        assert!(!delta.core_stable(0), "prefix-based query stays coarse");
     }
 
     #[test]
@@ -326,8 +229,7 @@ mod tests {
         let b = set(vec![task("a", 2, 0, 2), task("b", 1, 0, 2)]);
         let delta = TaskSetFingerprint::of(&a).delta(&TaskSetFingerprint::of(&b));
         assert_eq!(delta.unchanged_prefix(), 0);
-        assert!(!delta.task_unchanged(0) && !delta.task_unchanged(1));
-        assert!(!delta.core_untouched(0));
+        assert!(!delta.core_stable(0));
 
         // Same swap with *fully* identical content (names differ only):
         // the content hashes at each index really are different because
@@ -349,9 +251,7 @@ mod tests {
         let b = set(vec![task("a", 1, 1, 2), task("b", 2, 0, 3)]);
         let delta = TaskSetFingerprint::of(&a).delta(&TaskSetFingerprint::of(&b));
         assert_eq!(delta.unchanged_prefix(), 0);
-        assert!(!delta.task_unchanged(0) && !delta.task_unchanged(1));
-        assert!(!delta.core_untouched(0) && !delta.core_untouched(1));
-        assert!(!delta.identical());
+        assert!(!delta.core_stable(0) && !delta.core_stable(1));
     }
 
     #[test]
@@ -363,30 +263,25 @@ mod tests {
         };
         assert!(empty.is_empty());
         let ee = empty.delta(&empty.clone());
-        assert!(ee.identical());
         assert_eq!(ee.unchanged_prefix(), 0);
-        assert!(!ee.task_unchanged(0));
-        assert!(ee.core_untouched(0));
+        assert!(ee.core_stable(0), "absent cores are vacuously stable");
 
         let single = TaskSetFingerprint::of(&set(vec![task("s", 1, 0, 2)]));
         let es = empty.delta(&single);
-        assert!(!es.identical());
-        assert!(!es.task_unchanged(0), "index exists in only one set");
-        assert!(!es.core_untouched(0));
+        assert_eq!(es.unchanged_prefix(), 0);
+        assert!(!es.core_stable(0), "index exists in only one set");
         let ss = single.delta(&single.clone());
-        assert!(ss.identical());
-        assert!(ss.task_unchanged(0));
-        assert!(ss.core_untouched(0));
+        assert_eq!(ss.unchanged_prefix(), 1);
+        assert!(ss.core_stable(0));
     }
 
     #[test]
-    fn cache_geometry_change_voids_the_per_task_mask() {
+    fn cache_geometry_change_voids_the_prefix() {
         let a = set(vec![task("a", 1, 0, 2)]);
         let mut wider = TaskSetFingerprint::of(&a);
         wider.cache_sets = 32;
         let delta = TaskSetFingerprint::of(&a).delta(&wider);
         assert_eq!(delta.unchanged_prefix(), 0);
-        assert!(!delta.task_unchanged(0));
-        assert!(!delta.core_untouched(0));
+        assert!(!delta.core_stable(0));
     }
 }

@@ -59,7 +59,8 @@ pub use profile::{format_nanos, ProfileNode};
 pub use registry::{
     active, counter, disable, emit, enable, enable_metrics, events_enabled, histogram_record,
     metrics_snapshot, next_scope_epoch, profile_snapshot, reset, restore_scope_state, scope,
-    scope_state, set_scope, span_enter, take_events, timing_enabled, SpanGuard,
+    scope_state, set_scope, set_span_path, span_enter, span_path, take_events, timing_enabled,
+    SpanGuard,
 };
 pub use value::FieldValue;
 
@@ -213,5 +214,36 @@ mod tests {
         assert_eq!(outer.children[0].name, "test.inner");
         assert!(outer.nanos >= outer.children[0].nanos);
         assert!(!profile.render_text().is_empty());
+    }
+
+    #[test]
+    fn span_path_carries_nesting_into_another_thread() {
+        let _gate = lock();
+        crate::reset();
+        crate::enable_metrics();
+        {
+            let _outer = crate::span!("test.caller");
+            let path = crate::span_path();
+            assert_eq!(path, ["test.caller"]);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    crate::set_span_path(&path);
+                    let _inner = crate::span!("test.worker");
+                });
+            });
+        }
+        crate::disable();
+        let profile = crate::profile_snapshot();
+        assert!(
+            profile.children.iter().all(|c| c.name != "test.worker"),
+            "the worker span must not become a root"
+        );
+        let caller = profile
+            .children
+            .iter()
+            .find(|c| c.name == "test.caller")
+            .expect("caller span recorded");
+        assert_eq!(caller.children.len(), 1);
+        assert_eq!(caller.children[0].name, "test.worker");
     }
 }

@@ -249,6 +249,25 @@ pub fn reset() {
     SEQ.with(|s| s.set(0));
 }
 
+/// This thread's open span path, outermost first. A parallel region
+/// reads it before spawning workers and hands it to each one through
+/// [`set_span_path`], so spans a worker opens nest exactly where they
+/// would nest had the work run inline on the calling thread.
+#[must_use]
+pub fn span_path() -> Vec<&'static str> {
+    SPAN_PATH.with(|path| path.borrow().clone())
+}
+
+/// Replaces this thread's open span path (see [`span_path`]). Call it
+/// first thing in a freshly spawned worker, before any span opens.
+pub fn set_span_path(spans: &[&'static str]) {
+    SPAN_PATH.with(|path| {
+        let mut path = path.borrow_mut();
+        path.clear();
+        path.extend_from_slice(spans);
+    });
+}
+
 /// RAII guard timing one span execution; created by [`crate::span!`].
 ///
 /// When timing is disabled at creation the guard is inert (a `None` start,

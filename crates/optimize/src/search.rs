@@ -35,17 +35,18 @@
 //!    (base set, analysis environment, candidate vectors); repeats within
 //!    and across requests replay their evaluation instead of re-solving.
 //!    Within one batch, duplicate keys collapse onto a single solve.
-//! 3. **Partial re-solve** — the surviving solves run on the pool; local
-//!    search passes the current point's captured [`ParentSolution`] so
-//!    the engine can certify untouched tasks instead of re-deriving them
-//!    (`cpa_analysis::analyze_with_parent`).
+//! 3. **Solve** — the surviving candidates run on the pool through plain
+//!    `cpa_analysis::analyze_with`. Each worker keeps one analysis scratch
+//!    for the whole search, so the engine's certified structural retention
+//!    (DESIGN.md §15) carries cached demand curves and `BAO` segments
+//!    from one candidate to the next.
 //!
-//! All three stages decide on the driver thread in candidate order, so
-//! the set of engine calls — and the response bytes — are invariant in
-//! the worker-thread count. The `full_eval` escape hatch disables the
-//! memo, warm chaining, seeding and parent certification (each candidate
-//! solves independently on a cold scratch; pruning stays), which is what
-//! the byte-identity acceptance in `cpa-bench` compares against.
+//! The first two stages decide on the driver thread in candidate order,
+//! so the set of engine calls — and the response bytes — are invariant
+//! in the worker-thread count. The `full_eval` escape hatch disables the
+//! memo and warm chaining (each candidate solves independently on a cold
+//! scratch; pruning stays), which is what the byte-identity acceptance in
+//! `cpa-bench` compares against.
 //!
 //! # Determinism
 //!
@@ -59,11 +60,10 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use cpa_analysis::{
-    analyze_with, analyze_with_parent, analyze_with_seed, AnalysisConfig, AnalysisContext,
-    AnalysisScratch, ContextBuffers, CrpdApproach, ParentSolution,
+    analyze_with, AnalysisConfig, AnalysisContext, AnalysisScratch, ContextBuffers, CrpdApproach,
 };
 use cpa_experiments::runner::derive_seed;
-use cpa_model::{ContentHasher, CoreId, Platform, Priority, Task, TaskSet, Time};
+use cpa_model::{ContentHasher, CoreId, Platform, Priority, Task, TaskSet};
 use cpa_pool::PoolOptions;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -281,12 +281,6 @@ impl EvalScratch {
     }
 }
 
-/// One evaluated candidate as the driver sees it: its evaluation, the
-/// per-task response vector (empty unless tracked), and — for freshly
-/// solved, schedulable local-search points — a captured [`ParentSolution`]
-/// the next round can certify against.
-type EvalRow = (Evaluation, Vec<Time>, Option<ParentSolution>);
-
 struct Searcher<'a> {
     base: &'a TaskSet,
     platform: &'a Platform,
@@ -322,7 +316,7 @@ struct Searcher<'a> {
     /// memo key, so fragments of different requests never collide.
     env_key: u64,
     /// Evaluate every admitted candidate independently: no memo, no warm
-    /// chaining, no seeding, no parent certification.
+    /// chaining.
     full_eval: bool,
 }
 
@@ -375,41 +369,12 @@ impl<'a> Searcher<'a> {
     /// Evaluates a batch of candidates over the pool; results come back in
     /// candidate order whatever the thread count. `prune` admits the
     /// batch through the admission bounds first — on for exhaustive
-    /// enumeration, off for the default configuration and Audsley probes.
+    /// enumeration and local-search points, off for the default
+    /// configuration and Audsley probes.
     fn evaluate_batch(&mut self, candidates: &[Candidate], prune: bool) -> Vec<Evaluation> {
-        self.evaluate_batch_impl(candidates, None, None, false, prune)
-            .into_iter()
-            .map(|(eval, _, _)| eval)
-            .collect()
-    }
-
-    /// [`Searcher::evaluate_batch`] for local-search points: pruning on,
-    /// responses tracked, each solve offered `seed` (the current point's
-    /// converged response times) as a warm-start hint and `parent` (the
-    /// current point's captured solution) for partial re-solve
-    /// certification. Both are pure accelerators — adopted per component
-    /// only when provably exact — so the search trajectory is unchanged.
-    fn evaluate_batch_seeded(
-        &mut self,
-        candidates: &[Candidate],
-        seed: Option<&[Time]>,
-        parent: Option<&ParentSolution>,
-    ) -> Vec<EvalRow> {
-        self.evaluate_batch_impl(candidates, seed, parent, true, true)
-    }
-
-    fn evaluate_batch_impl(
-        &mut self,
-        candidates: &[Candidate],
-        seed: Option<&[Time]>,
-        parent: Option<&ParentSolution>,
-        track_responses: bool,
-        prune: bool,
-    ) -> Vec<EvalRow> {
         let _span = cpa_obs::span!("optimize.evaluate_batch");
         self.evaluated += candidates.len() as u64;
         cpa_obs::counter("optimize.candidates").add(candidates.len() as u64);
-        let n = self.base.len();
 
         // Stage 1+2, on the driver in candidate order: prune, then memo,
         // then collapse within-batch duplicates. Only `need` reaches the
@@ -437,8 +402,7 @@ impl<'a> Searcher<'a> {
         } = &mut *self;
         let (base, platform, config, pool) = (*base, *platform, *config, *pool);
         let (cores, env_key, full_eval) = (*cores, *env_key, *full_eval);
-        let mut rows: Vec<Option<EvalRow>> = Vec::with_capacity(candidates.len());
-        rows.resize_with(candidates.len(), || None);
+        let mut rows: Vec<Option<Evaluation>> = vec![None; candidates.len()];
         keys.clear();
         keys.resize(candidates.len(), 0);
         need.clear();
@@ -456,7 +420,12 @@ impl<'a> Searcher<'a> {
                             _ => "optimize.pruned_utilization",
                         })
                         .incr();
-                        rows[k] = Some(pruned_row(n, track_responses));
+                        // The canonical pruned evaluation: the worst
+                        // score any real evaluation loses to.
+                        rows[k] = Some(Evaluation {
+                            score: Score::worst(),
+                            converged_mask: 0,
+                        });
                         continue;
                     }
                 }
@@ -467,9 +436,9 @@ impl<'a> Searcher<'a> {
             }
             let key = memo_key(env_key, candidate);
             keys[k] = key;
-            if let Some((eval, responses)) = memo.get(key, track_responses) {
+            if let Some(eval) = memo.get(key) {
                 cpa_obs::counter("optimize.memo_hits").incr();
-                rows[k] = Some((eval, responses, None));
+                rows[k] = Some(eval);
                 continue;
             }
             cpa_obs::counter("optimize.memo_misses").incr();
@@ -483,7 +452,7 @@ impl<'a> Searcher<'a> {
         }
 
         // Stage 3: solve the remainder on the pool.
-        let solved: Vec<EvalRow> = if need.is_empty() {
+        let solved: Vec<Evaluation> = if need.is_empty() {
             Vec::new()
         } else {
             let epoch = cpa_obs::next_scope_epoch();
@@ -513,40 +482,19 @@ impl<'a> Searcher<'a> {
                     // parent (and thus from each other) in a handful of
                     // tasks, so the fingerprint delta certifies most cached
                     // segments. This is safe at any thread count because
-                    // retention, seeding and parent certification never
-                    // change results, only skip re-derivations. `full_eval`
-                    // turns all of it off for independent solves.
-                    let result = if full_eval {
+                    // retention never changes results, only skips
+                    // re-derivations. `full_eval` turns it off for
+                    // independent solves.
+                    if full_eval {
                         state.scratch.forget_warm();
-                        analyze_with(&ctx, config, &mut state.scratch)
-                    } else if let Some(parent) = parent {
-                        analyze_with_parent(&ctx, config, &mut state.scratch, parent)
-                    } else {
-                        match seed {
-                            Some(seed) => analyze_with_seed(&ctx, config, &mut state.scratch, seed),
-                            None => analyze_with(&ctx, config, &mut state.scratch),
-                        }
-                    };
+                    }
+                    let result = analyze_with(&ctx, config, &mut state.scratch);
                     let eval = evaluate_result(&tasks, &result);
-                    let responses = if track_responses {
-                        result
-                            .response_times()
-                            .iter()
-                            .map(|r| r.unwrap_or(Time::from_cycles(u64::MAX)))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    let next_parent = if track_responses && !full_eval {
-                        ParentSolution::capture(&ctx, config, &result)
-                    } else {
-                        None
-                    };
                     ctx.recycle(&mut state.buffers);
                     if !full_eval {
                         state.recycle_set(tasks);
                     }
-                    (eval, responses, next_parent)
+                    eval
                 },
             )
         };
@@ -554,15 +502,13 @@ impl<'a> Searcher<'a> {
         // Stitch, sequentially in solve order: memoize each fresh solve
         // and fan duplicates out from their solved representative.
         for &(k, j) in &*dups {
-            let (eval, responses, parent) = &solved[j];
-            rows[k] = Some((*eval, responses.clone(), parent.clone()));
+            rows[k] = Some(solved[j]);
         }
-        for (j, row) in solved.into_iter().enumerate() {
-            let k = need[j];
+        for (&k, eval) in need.iter().zip(solved) {
             if !full_eval {
-                memo.insert(keys[k], row.0, track_responses.then(|| row.1.clone()));
+                memo.insert(keys[k], eval);
             }
-            rows[k] = Some(row);
+            rows[k] = Some(eval);
         }
         rows.into_iter()
             .map(|row| row.expect("every candidate pruned, memoized, or solved"))
@@ -742,22 +688,6 @@ fn memo_key(env_key: u64, c: &Candidate) -> u64 {
     h.finish()
 }
 
-/// The canonical row of a pruned candidate in an `n`-task set: the worst
-/// score any real evaluation loses to, no converged tasks, sentinel
-/// responses.
-fn pruned_row(n: usize, track_responses: bool) -> EvalRow {
-    let eval = Evaluation {
-        score: Score::worst(),
-        converged_mask: 0,
-    };
-    let responses = if track_responses {
-        vec![Time::from_cycles(u64::MAX); n]
-    } else {
-        Vec::new()
-    };
-    (eval, responses, None)
-}
-
 fn factorial(n: u32) -> Option<u64> {
     (1..=u64::from(n)).try_fold(1u64, u64::checked_mul)
 }
@@ -808,10 +738,10 @@ pub fn optimize(
 /// [`optimize`] with a caller-owned [`SolveMemo`] — the service passes
 /// one memo per batch so solve fragments are shared across requests —
 /// and the `full_eval` escape hatch, which evaluates every admitted
-/// candidate independently (no memo, no warm chaining, no seeding, no
-/// parent certification; admission pruning stays because it defines the
-/// search semantics). Both knobs accelerate or de-accelerate the same
-/// deterministic trajectory: the outcome is byte-identical either way.
+/// candidate independently (no memo, no warm chaining; admission pruning
+/// stays because it defines the search semantics). Both knobs accelerate
+/// or de-accelerate the same deterministic trajectory: the outcome is
+/// byte-identical either way.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_with_memo(
@@ -878,10 +808,7 @@ pub fn optimize_with_memo(
                 }
                 c
             };
-            let (mut current_eval, mut current_resp, mut current_parent) = s
-                .evaluate_batch_seeded(std::slice::from_ref(&current), None, None)
-                .pop()
-                .expect("one candidate in, one evaluation out");
+            let mut current_eval = s.evaluate_batch(std::slice::from_ref(&current), true)[0];
             if current_eval.score > best_eval.score {
                 best = current.clone();
                 best_eval = current_eval;
@@ -899,32 +826,13 @@ pub fn optimize_with_memo(
                 if neighbors.is_empty() {
                     break;
                 }
-                // The parent's converged response times seed every
-                // neighbour solve, and its captured solution certifies
-                // their untouched tasks (pure accelerators — adopted per
-                // component only when provably exact, so outcomes match
-                // the unassisted search bit for bit).
-                let mut evals = s.evaluate_batch_seeded(
-                    &neighbors,
-                    Some(&current_resp),
-                    current_parent.as_ref(),
-                );
-                let bi = {
-                    let mut bi = 0;
-                    for (k, (e, _, _)) in evals.iter().enumerate().skip(1) {
-                        if e.score > evals[bi].0.score {
-                            bi = k;
-                        }
-                    }
-                    bi
-                };
-                if evals[bi].0.score > current_eval.score {
+                let evals = s.evaluate_batch(&neighbors, true);
+                let bi = Searcher::argmax(&evals);
+                if evals[bi].score > current_eval.score {
                     stats.moves_accepted += 1;
                     stats.moves_rejected += (neighbors.len() - 1) as u64;
                     current = neighbors[bi].clone();
-                    current_eval = evals[bi].0;
-                    current_resp = std::mem::take(&mut evals[bi].1);
-                    current_parent = evals[bi].2.take();
+                    current_eval = evals[bi];
                     stale = 0;
                     if current_eval.score > best_eval.score {
                         best = current.clone();
@@ -935,11 +843,9 @@ pub fn optimize_with_memo(
                     stale += 1;
                     // Sideways drift along score plateaus, seeded like
                     // everything else, to escape flat regions.
-                    if evals[bi].0.score == current_eval.score && rng.gen_bool(0.5) {
+                    if evals[bi].score == current_eval.score && rng.gen_bool(0.5) {
                         current = neighbors[bi].clone();
-                        current_eval = evals[bi].0;
-                        current_resp = std::mem::take(&mut evals[bi].1);
-                        current_parent = evals[bi].2.take();
+                        current_eval = evals[bi];
                     }
                     if stale >= knobs.patience.max(1) {
                         break;

@@ -197,6 +197,14 @@ fn process_request(
 ) -> Result<String, String> {
     let fail = |what: String| format!("request '{}': {what}", request.name);
     let tasks = TaskSet::new(request.tasks.clone()).map_err(|e| fail(e.to_string()))?;
+    // Validated before the cache lookup, so an out-of-domain request is
+    // refused even when a cache directory holds an answer for it.
+    let bus = BusPolicy::parse(&request.bus, request.slots).map_err(fail)?;
+    let mode = match request.mode.as_str() {
+        "aware" => PersistenceMode::Aware,
+        "oblivious" => PersistenceMode::Oblivious,
+        other => return Err(fail(format!("unknown persistence mode `{other}`"))),
+    };
     let key = request_key(request, &tasks);
     if let Some(doc) = cache.get(key) {
         stats.cache_hits += 1;
@@ -205,13 +213,6 @@ fn process_request(
     }
     stats.cache_misses += 1;
 
-    let bus = BusPolicy::parse(&request.bus, request.slots)
-        .ok_or_else(|| fail(format!("unknown bus policy `{}`", request.bus)))?;
-    let mode = match request.mode.as_str() {
-        "aware" => PersistenceMode::Aware,
-        "oblivious" => PersistenceMode::Oblivious,
-        other => return Err(fail(format!("unknown persistence mode `{other}`"))),
-    };
     let highest_core = tasks.iter().map(|t| t.core().index()).max().unwrap_or(0);
     if request.cores <= highest_core {
         return Err(fail(format!(

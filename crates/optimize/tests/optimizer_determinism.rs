@@ -7,7 +7,7 @@
 //! * local search agrees with exhaustive enumeration on a toy space;
 //! * on a misconfigured seeded set the optimizer strictly improves on the
 //!   default configuration, flipping it to schedulable;
-//! * the delta-scoped fast path (solve memo + partial re-solve + warm
+//! * the delta-scoped fast path (admission pruning + solve memo + warm
 //!   chaining) and the independent full-evaluation path produce
 //!   byte-identical responses, and admission pruning decides identically
 //!   in both.

@@ -232,9 +232,10 @@ where
 /// no join — with the caller's obs ordering state saved and restored
 /// around the region, so per-item scoping stays canonical and the
 /// caller's own event ordering is unperturbed. Multi-worker runs use
-/// scoped threads exactly like before; outputs are byte-identical
-/// either way (the determinism argument in the crate docs does not
-/// depend on where an item runs).
+/// scoped threads exactly like before, each seeded with the caller's
+/// open span path so worker spans nest under the same parents as inline
+/// ones; outputs are byte-identical either way (the determinism argument
+/// in the crate docs does not depend on where an item runs).
 pub fn map_with<S, R, I, W>(
     items: usize,
     opts: PoolOptions,
@@ -277,6 +278,9 @@ where
     let total_chunks = items.div_ceil(chunk);
     let fair_share = total_chunks.div_ceil(threads.max(1));
     let cursor = AtomicUsize::new(0);
+    // Spawned threads start with an empty span stack: without the
+    // caller's path, worker spans would become roots of the profile tree.
+    let span_path = cpa_obs::span_path();
 
     // Each worker collects (chunk_start, results) pairs; the claim order
     // is racy but the post-join sort keyed on chunk_start restores the
@@ -288,7 +292,9 @@ where
             .map(|state| {
                 let cursor = &cursor;
                 let work = &work;
+                let span_path = &span_path;
                 scope.spawn(move || {
+                    cpa_obs::set_span_path(span_path);
                     let mut claimed = Vec::new();
                     let mut claims = 0usize;
                     loop {

@@ -60,20 +60,28 @@ pub enum ExportScope {
 /// Counters whose values depend on scheduling (`--threads`/`--chunk`), not on
 /// the workload: excluded from deterministic exports.
 ///
-/// The three `engine.warm_*`-family meters measure warm-start chain
-/// history — what the *previous* solve on the same per-worker scratch
-/// left behind. The optimizer and the chained sweep drivers
-/// (`evaluate_point_chained`) chain freely per worker, so which item
-/// warms which is a pool artifact; the `experiments.chain_*` meters
+/// The engine's warm-retention meters (`engine.warm_starts`,
+/// `engine.segments_reused`) and its curve-cache hit/miss meters
+/// (`engine.{curve,same_core,bao}_{hit,miss}`) depend on chain history —
+/// what the *previous* solve on the same per-worker scratch left behind:
+/// a lookup that lands in a carried same-core span is a hit where a cold
+/// scratch would have missed. The optimizer and the chained sweep
+/// drivers (`evaluate_point_chained`) chain freely per worker, so which
+/// item warms which is a pool artifact; the `experiments.chain_*` meters
 /// count those cross-point links and scale with the worker count.
-/// (Analysis *results* and the hit/miss meters stay bitwise-equal warm
-/// vs cold by construction; only these bookkeeping meters vary.)
+/// (Analysis *results* stay bitwise-equal warm vs cold by construction;
+/// only these meters vary.)
 pub const SCHEDULING_METERS: &[&str] = &[
     "analysis.context_recycles",
     "engine.scratch_reuses",
     "engine.warm_starts",
     "engine.segments_reused",
-    "engine.inner_iters_saved",
+    "engine.curve_hit",
+    "engine.curve_miss",
+    "engine.same_core_hit",
+    "engine.same_core_miss",
+    "engine.bao_hit",
+    "engine.bao_miss",
     "experiments.chain_points_linked",
     "experiments.chain_workers",
     "pool.chunks_claimed",
@@ -102,12 +110,15 @@ mod tests {
         assert!(is_scheduling_meter("pool.chunks_claimed"));
         assert!(is_scheduling_meter("engine.scratch_reuses"));
         assert!(is_scheduling_meter("engine.segments_reused"));
-        assert!(is_scheduling_meter("engine.inner_iters_saved"));
         assert!(is_scheduling_meter("experiments.chain_points_linked"));
         assert!(is_scheduling_meter("experiments.chain_workers"));
+        // Carried same-core spans score as hits, so the hit/miss meters
+        // follow the chain history like the warm meters do.
+        assert!(is_scheduling_meter("engine.curve_hit"));
+        assert!(is_scheduling_meter("engine.same_core_miss"));
+        assert!(is_scheduling_meter("engine.bao_hit"));
         assert!(!is_scheduling_meter("experiments.sets_evaluated"));
-        assert!(!is_scheduling_meter("engine.seed_hints_adopted"));
-        assert!(!is_scheduling_meter("engine.curve_hit"));
+        assert!(!is_scheduling_meter("engine.tasks_solved"));
         assert!(!is_scheduling_meter("pool.items"));
         assert!(!is_scheduling_meter("sim.runs"));
         assert!(is_scheduling_span("pool.chunk"));

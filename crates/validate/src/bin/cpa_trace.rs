@@ -170,10 +170,11 @@ impl EngineStats {
 }
 
 /// Warm-start section of the `analyze`/`sweep`/`optimize` reports: how
-/// much work the engine's cross-solve retention avoided (DESIGN.md §15),
-/// from the always-on `engine.warm_*`/`engine.seed_*` counter deltas.
-/// Retention never changes results — these counters are the only
-/// observable difference between a warm and a cold solve.
+/// much cached state the engine's cross-solve retention carried over
+/// (DESIGN.md §15), from the always-on `engine.warm_*` counter deltas.
+/// Retention never changes results — these counters (and the curve hit
+/// rate) are the only observable difference between a warm and a cold
+/// solve.
 #[derive(Serialize)]
 struct WarmStats {
     /// Engine resets that carried at least one certified cache entry over
@@ -181,50 +182,31 @@ struct WarmStats {
     warm_starts: u64,
     /// Same-core curves and BAO slots carried across solve boundaries.
     segments_reused: u64,
-    /// Inner-loop term re-derivations skipped thanks to carried entries.
-    inner_iters_saved: u64,
-    /// Response-time seed components adopted (provably equal to the
-    /// iteration's own starting point).
-    seed_hints_adopted: u64,
-    /// Seed components rejected and re-derived from scratch.
-    seed_hints_rejected: u64,
 }
 
 impl WarmStats {
     /// Snapshot of the always-on warm-start counters, for delta-ing
     /// around one analysis, sweep, or optimizer run.
-    fn snapshot() -> [u64; 5] {
+    fn snapshot() -> [u64; 2] {
         [
             cpa_obs::counter("engine.warm_starts").get(),
             cpa_obs::counter("engine.segments_reused").get(),
-            cpa_obs::counter("engine.inner_iters_saved").get(),
-            cpa_obs::counter("engine.seed_hints_adopted").get(),
-            cpa_obs::counter("engine.seed_hints_rejected").get(),
         ]
     }
 
-    fn from_delta(before: [u64; 5]) -> WarmStats {
+    fn from_delta(before: [u64; 2]) -> WarmStats {
         let after = WarmStats::snapshot();
-        let d = |i: usize| after[i].saturating_sub(before[i]);
         WarmStats {
-            warm_starts: d(0),
-            segments_reused: d(1),
-            inner_iters_saved: d(2),
-            seed_hints_adopted: d(3),
-            seed_hints_rejected: d(4),
+            warm_starts: after[0].saturating_sub(before[0]),
+            segments_reused: after[1].saturating_sub(before[1]),
         }
     }
 
     fn print_human(&self) {
-        if self.warm_starts > 0 || self.seed_hints_adopted + self.seed_hints_rejected > 0 {
+        if self.warm_starts > 0 {
             println!(
-                "warm-start: {} warm resets, {} segments carried, {} inner derivations saved, \
-                 seed hints {} adopted / {} rejected",
-                self.warm_starts,
-                self.segments_reused,
-                self.inner_iters_saved,
-                self.seed_hints_adopted,
-                self.seed_hints_rejected,
+                "warm-start: {} warm resets, {} segments carried",
+                self.warm_starts, self.segments_reused,
             );
         }
     }
@@ -551,12 +533,7 @@ impl TraceOptions {
     }
 
     fn bus_policy(&self) -> Result<BusPolicy, String> {
-        BusPolicy::parse(&self.bus, self.slots).ok_or_else(|| {
-            format!(
-                "unknown bus `{}` (expected fp, rr, tdma, or perfect)",
-                self.bus
-            )
-        })
+        BusPolicy::parse(&self.bus, self.slots).map_err(|e| format!("--bus/--slots: {e}"))
     }
 
     fn persistence(&self) -> Result<PersistenceMode, String> {

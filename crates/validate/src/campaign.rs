@@ -10,6 +10,7 @@
 //! options therefore produce byte-equal [`CampaignStats`] (and retained
 //! [`ViolationCase`]s) whether they run on 1 thread or 16.
 
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -143,7 +144,9 @@ impl CampaignOptions {
             "--sets" => self.sets = args.value_for("--sets")?,
             "--seed" => self.seed = args.value_for("--seed")?,
             "--threads" => self.threads = args.value_for("--threads")?,
-            "--slots" => self.slots = args.value_for("--slots")?,
+            // Every campaign checks the slotted RR and TDMA buses, where
+            // zero slots would yield an optimistic verdict.
+            "--slots" => self.slots = args.value_for::<NonZeroU64>("--slots")?.get(),
             "--quick" => self.quick = true,
             "--inject" => self.inject = args.value_for("--inject")?,
             "--reference-sim" => self.reference_sim = true,
@@ -509,6 +512,15 @@ mod tests {
         // Binary-specific flags fall through to the caller.
         let mut args = Args::new(std::iter::empty::<String>(), "usage: test");
         assert_eq!(opts.apply_cli_flag(&mut args, "--report"), Ok(false));
+    }
+
+    #[test]
+    fn cli_rejects_zero_slots() {
+        let mut args = Args::new(["0"].map(String::from), "usage: test");
+        let mut opts = CampaignOptions::new();
+        let err = opts.apply_cli_flag(&mut args, "--slots").unwrap_err();
+        assert!(err.to_string().contains("--slots"), "{err}");
+        assert_eq!(opts.slots, 2, "the default survives a rejected value");
     }
 
     #[test]

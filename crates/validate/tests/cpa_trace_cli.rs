@@ -51,6 +51,14 @@ fn analyze_rejects_unknown_bus_with_a_diagnostic() {
 }
 
 #[test]
+fn analyze_rejects_zero_tdma_slots_with_a_diagnostic() {
+    assert_usage_error(
+        &["analyze", "--bus", "tdma", "--slots", "0"],
+        "slots must be at least 1 for the `tdma` bus",
+    );
+}
+
+#[test]
 fn sim_rejects_malformed_horizon_with_a_diagnostic() {
     assert_usage_error(&["sim", "--horizon", "soon"], "--horizon");
 }
